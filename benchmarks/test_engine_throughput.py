@@ -106,7 +106,7 @@ def test_sharded_columnar_speedup_on_fanout_work():
         "seed": 0,
     }
     single = ColumnarEngine(check="bandwidth")
-    sharded = ColumnarEngine(check="bandwidth", shards=2, executor="process")
+    sharded = ColumnarEngine(check="bandwidth", shards=2)
 
     base = measure(
         lambda: run_spec(catalog_factory(dict(config)), single)[0],
@@ -128,6 +128,39 @@ def test_sharded_columnar_speedup_on_fanout_work():
     assert split.best * 1.5 <= base.best, (
         f"sharded columnar not 1.5x faster: single {base.best * 1e3:.1f}ms, "
         f"shards=2 {split.best * 1e3:.1f}ms"
+    )
+
+
+def test_sharded_columnar_overhead_on_fanout():
+    """Acceptance gate: shard threads stay cheap on a communication-bound
+    run.  Two-shard columnar ``fanout`` at n=1024 — O(n) vector work per
+    round, nothing for a second core to win back — costs at most 3x the
+    single-instance run (best-of-5 wall clock), with bit-identical
+    results.  What it bounds is the per-run shard overhead: executor
+    start-up, per-round hand-off and thread join.
+    """
+    config = {"algorithm": "fanout", "n": 1024, "seed": 0}
+    single = ColumnarEngine(check="bandwidth")
+    sharded = ColumnarEngine(check="bandwidth", shards=2)
+
+    base = measure(
+        lambda: run_spec(catalog_factory(dict(config)), single)[0],
+        repeats=5,
+        warmup=1,
+    )
+    split = measure(
+        lambda: run_spec(catalog_factory(dict(config)), sharded)[0],
+        repeats=5,
+        warmup=1,
+    )
+    assert split.result.outputs == base.result.outputs
+    assert split.result.rounds == base.result.rounds
+    assert split.result.total_message_bits == base.result.total_message_bits
+    assert split.result.sent_bits == base.result.sent_bits
+    assert split.result.received_bits == base.result.received_bits
+    assert split.best <= 3 * base.best, (
+        f"two-shard fanout costs more than 3x single instance: single "
+        f"{base.best * 1e3:.2f}ms, shards=2 {split.best * 1e3:.2f}ms"
     )
 
 

@@ -571,26 +571,27 @@ def fanout_generator(node) -> Generator[None, None, tuple[int, int]]:
 
 
 @array_program(shardable=True)
-def fanout_array(ctx) -> Generator[None, None, list[tuple[int, int]]]:
+def fanout_array(ctx) -> Generator[None, None, dict[int, tuple[int, int]]]:
     """Columnar twin of :func:`fanout_generator` — fully vectorised.
 
-    Shardable: broadcasts are emitted for the owned senders only
-    (identical columns to the classic full-range emission when the
-    owned range is the whole clique), the evolving per-node value is
-    deterministic from the global inputs so every shard advances the
-    full vector, and the inbox is consumed by whole-column/scatter
-    updates — valid on owned rows whatever slice arrives.
+    Shardable: the evolving per-node value is kept and broadcast for the
+    owned senders only (identical columns to the classic full-range
+    emission when the owned range is the whole clique), the inbox is
+    consumed by whole-column/scatter updates — valid on owned rows
+    whatever slice arrives — and only owned outputs are returned, so
+    the per-node Python loops, which shard threads run one at a time
+    under the GIL, are not repeated by every shard.
     """
     n = ctx.n
     lo, hi = ctx.lo, ctx.hi
     rounds = int(ctx.auxes[0])
     w = _fanout_width(ctx.bandwidth)
     mask = _U64((1 << w) - 1)
-    x = np.asarray([int(v) for v in ctx.inputs], dtype=_U64) & mask
+    x = np.asarray([int(v) for v in ctx.inputs[lo:hi]], dtype=_U64) & mask
     count = np.zeros(n, dtype=_I64)
     fold = np.zeros(n, dtype=_U64)
     for r in range(rounds):
-        ctx.broadcast(x[lo:hi], w, senders=ctx.ids[lo:hi])
+        ctx.broadcast(x, w, senders=ctx.ids[lo:hi])
         yield
         bs, bv, _bw = ctx.inbox_broadcast
         if bs.size:
@@ -604,7 +605,7 @@ def fanout_array(ctx) -> Generator[None, None, list[tuple[int, int]]]:
             np.add.at(count, dst, 1)
             np.bitwise_xor.at(fold, dst, val)
         x = (x * _U64(_FANOUT_MUL) + _U64(_FANOUT_INC + r)) & mask
-    return [(int(count[v]), int(fold[v])) for v in range(n)]
+    return {v: (int(count[v]), int(fold[v])) for v in range(lo, hi)}
 
 
 # -- fanout_work: the compute-heavy shard-parallel stress program -----------

@@ -595,7 +595,7 @@ register_workload(
     Workload(
         name="columnar-sharded-fanout",
         description="n=1024 compute-heavy fan-out split across two "
-        "process shards (shard-parallel columnar engine)",
+        "shard threads (shard-parallel columnar engine)",
         run=_run_catalog,
         params={
             "execution": {

@@ -116,8 +116,12 @@ def array_program(
       ``np.add.at`` / ``np.bitwise_xor.at`` qualify; positional
       consumption does not), while :attr:`inbox_broadcast` stays global;
     * outputs and counters need only be valid on owned rows (the
-      coordinator merges owned slices), and outputs must be picklable
-      when the process executor ships them back.
+      coordinator merges owned slices);
+    * shards are threads of one process, so they share ``ctx.inputs``,
+      ``ctx.auxes`` and any module state, and must not mutate them.
+      The inbox columns they receive are read-only (writing one raises
+      ``ValueError``), since one shard's broadcast columns are every
+      shard's.
 
     Programs without the flag transparently fall back to single-instance
     execution whatever ``shards=`` asks for.
@@ -529,17 +533,9 @@ class ColumnarEngine(Engine):
         single-instance path for every shard count.  Runs that need the
         explicit per-message path (fault plans, transcripts, per-message
         or timing observers) and non-shardable programs transparently
-        fall back to single-instance execution.
-    executor:
-        ``"process"`` (the default when sharding) forks one worker per
-        shard; ``"inline"`` advances the shards in-process (testing and
-        differential gating).  Falls back to inline with a
-        :class:`RuntimeWarning` where ``fork`` is unavailable.
-    transport:
-        ``"direct"`` hands inline shard traffic over as objects;
-        ``"pickle"`` round-trips it through the pickle-protocol-5
-        :class:`~repro.service.kernel.ShardTransport` (process shards
-        always use the pickled framing).
+        fall back to single-instance execution.  Shards advance on
+        threads of a per-run executor (numpy releases the GIL in the
+        lane arithmetic), joined before :meth:`execute` returns.
     """
 
     name = "columnar"
@@ -549,8 +545,6 @@ class ColumnarEngine(Engine):
         check: str = "bandwidth",
         record_transcripts: bool = False,
         shards: "int | None" = None,
-        executor: "str | None" = None,
-        transport: str = "direct",
     ) -> None:
         check = canonical_check(check)
         if check not in CHECK_LEVELS:
@@ -561,25 +555,15 @@ class ColumnarEngine(Engine):
             raise CliqueError(
                 f"shards must be None, 0 (auto) or a positive int, got {shards!r}"
             )
-        if executor not in (None, "inline", "process"):
-            raise CliqueError(
-                f"executor must be 'inline' or 'process', got {executor!r}"
-            )
-        if transport not in ("direct", "pickle"):
-            raise CliqueError(
-                f"transport must be 'direct' or 'pickle', got {transport!r}"
-            )
         self.check = check
         self.record_transcripts = record_transcripts
         self.shards = shards
-        self.executor = executor
-        self.transport = transport
 
     def describe(self) -> dict:
         """Engine configuration (cache key component).
 
-        The shard keys appear only when sharding is configured, so
-        cache keys of classic single-instance runs are unchanged.
+        The ``shards`` key appears only when sharding is configured,
+        so cache keys of classic single-instance runs are unchanged.
         """
         out = {
             "engine": self.name,
@@ -588,8 +572,6 @@ class ColumnarEngine(Engine):
         }
         if self.shards is not None:
             out["shards"] = self.shards
-            out["executor"] = self.executor or "process"
-            out["transport"] = self.transport
         return out
 
     def _effective_shards(self, n: int) -> int:
@@ -777,7 +759,9 @@ class ColumnarEngine(Engine):
         the shardable contract), validates and accounts them with the
         exact single-instance code, and routes each shard its owned
         destination slice — so outputs, rounds, bits and metrics are
-        bit-identical to ``shards=None`` for every shard count.
+        bit-identical to ``shards=None`` for every shard count.  The
+        shards are threads sharing this process: every column handed to
+        them is a fresh read-only array.
         """
         # Lazy import: the service layer imports the engine package, so
         # the engine only reaches up at execute time.
@@ -785,6 +769,8 @@ class ColumnarEngine(Engine):
 
         n = clique.n
         bandwidth = clique.bandwidth
+        if obs is not None:
+            obs.on_run_start(n=n, bandwidth=bandwidth, engine=self.name)
         pool = spawn_columnar_shards(
             array,
             n,
@@ -793,11 +779,7 @@ class ColumnarEngine(Engine):
             auxes,
             check=self.check,
             count=shard_count,
-            executor=self.executor or "process",
-            transport=self.transport,
         )
-        if obs is not None:
-            obs.on_run_start(n=n, bandwidth=bandwidth, engine=self.name)
 
         rounds = 0
         total_bits = 0
@@ -877,15 +859,15 @@ class ColumnarEngine(Engine):
                     slices = []
                     for index in live:
                         lo, hi = ranges[index]
-                        if us.size:
-                            owned = (ud >= lo) & (ud < hi)
-                            coo = (us[owned], ud[owned], uv[owned], uw[owned])
-                        else:
-                            coo = (us, ud, uv, uw)
+                        owned = (ud >= lo) & (ud < hi) if us.size else None
                         slices.append(
-                            (coo, [t for t in bulk if lo <= t[1] < hi])
+                            (
+                                _shard_columns((us, ud, uv, uw), owned),
+                                [t for t in bulk if lo <= t[1] < hi],
+                            )
                         )
-                    replies = pool.step(this_round, (bs, bv, bw), live, slices)
+                    bcast = _shard_columns((bs, bv, bw))
+                    replies = pool.step(this_round, bcast, live, slices)
                     for index, reply in zip(live, replies):
                         absorb(index, reply)
         except BaseException:
@@ -1098,6 +1080,20 @@ def _concat_outboxes(outboxes: Sequence[tuple]) -> tuple:
     for _cols, shard_bulk in outboxes:
         bulk.extend(shard_bulk)
     return bs, bv, bw, us, ud, uv, uw, bulk
+
+
+def _shard_columns(cols: tuple, owned: "np.ndarray | None" = None) -> tuple:
+    """Fresh read-only copies of ``cols`` (rows ``owned``) for shard threads.
+
+    Fresh, because a column may still be a view of the emitting shard's
+    program state, which its thread is free to change next round;
+    read-only, so a program writing its inbox raises instead of
+    corrupting what a neighbour shard reads.
+    """
+    out = tuple(col.copy() if owned is None else col[owned] for col in cols)
+    for col in out:
+        col.setflags(write=False)
+    return out
 
 
 def _validate_columns(

@@ -768,25 +768,6 @@ def _metrics_mismatches(name: str, base, other) -> list[str]:
 COLUMNAR_FAULT_CATALOG: tuple[str, ...] = ("fanout", "fanout_work")
 
 
-def _columnar_gate_engine(check: str, shard: "int | None"):
-    """The columnar engine one ``diff_columnar`` axis point runs.
-
-    ``shard=None`` is the classic single-instance engine; a shard count
-    builds a shard-parallel engine on inline shards with the pickled
-    transport, so every gate point exercises the full shard codec
-    without paying a process fork per (entry, check, shards) cell —
-    process-executor parity has its own dedicated tests.
-    """
-    from .base import resolve_engine
-    from .columnar import ColumnarEngine
-
-    if shard is None:
-        return resolve_engine("columnar", check=check)
-    return ColumnarEngine(
-        check=check, shards=shard, executor="inline", transport="pickle"
-    )
-
-
 def diff_columnar(
     names: Sequence[str] | None = None,
     config: dict | None = None,
@@ -819,7 +800,7 @@ def diff_columnar(
             for check in CHECK_LEVELS:
                 engines = (
                     resolve_engine("reference", check=check),
-                    _columnar_gate_engine(check, shard),
+                    resolve_engine("columnar", check=check, shards=shard),
                 )
                 report = diff_engines(
                     catalog_factory,
@@ -847,7 +828,10 @@ def diff_columnar(
                 faulty = {}
                 for label, engine in (
                     ("reference", "reference"),
-                    ("columnar", _columnar_gate_engine("bandwidth", shard)),
+                    (
+                        "columnar",
+                        resolve_engine("columnar", check="bandwidth", shards=shard),
+                    ),
                 ):
                     result, _ = run_spec(
                         catalog_factory(dict(point)),

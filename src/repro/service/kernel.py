@@ -33,6 +33,7 @@ import pickle
 import struct
 import warnings
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -56,10 +57,8 @@ from ..obs.profile import PhaseTimer
 __all__ = [
     "ColumnarEmit",
     "ColumnarShardPool",
-    "InlineColumnarShard",
     "InlineShard",
     "Kernel",
-    "ProcessColumnarShard",
     "ProcessShard",
     "ShardTransport",
     "ShardedEngine",
@@ -435,20 +434,11 @@ def _fork_context() -> Any:
 # instance of a *shardable* array program (see
 # repro.engine.columnar.array_program).  The coordinator loop lives in
 # ColumnarEngine._execute_sharded; this section provides the shard
-# units, the forked worker protocol and the shared-memory broadcast
-# image — per-round pipe traffic is only the cross-shard message
-# slices, never the program state (inherited by fork) and, past a small
-# threshold, not the broadcast columns either (written once into a
-# SharedMemory segment every worker maps).
-
-_COL_I = np.int64
-_COL_U = np.uint64
-
-#: Broadcast columns smaller than this many entries ship as plain
-#: pickle-5 frames; larger ones go through the shared-memory image
-#: (written once instead of pickled per shard).  Tests lower it to
-#: force the shared-memory path at toy sizes.
-_SHM_MIN_BCAST = 64
+# units and the per-run thread executor they advance on.  Shards live
+# in the coordinator's address space, so round traffic is handed over
+# as read-only numpy columns rather than shipped, and the programs'
+# lane arithmetic runs in numpy ufuncs that release the GIL — the
+# shard threads overlap on a multicore host.
 
 
 class ColumnarEmit(NamedTuple):
@@ -471,10 +461,10 @@ class ColumnarEmit(NamedTuple):
 class _ColumnarShardCore:
     """One shard's program instance, advanced step by step.
 
-    Shared by the inline and forked executors: holds the shard's
-    :class:`~repro.engine.columnar.ArrayContext` (full-``n`` metadata,
-    owned range ``[lo, hi)``) and its array-program generator, and
-    enforces the owned-sender contract on every emission.
+    Holds the shard's :class:`~repro.engine.columnar.ArrayContext`
+    (full-``n`` metadata, owned range ``[lo, hi)``) and its
+    array-program generator, and enforces the owned-sender contract on
+    every emission.
     """
 
     def __init__(
@@ -566,290 +556,36 @@ class _ColumnarShardCore:
         return self._emit()
 
 
-def _resolve_bcast(desc: tuple, segments: dict) -> tuple:
-    """Broadcast columns from a ``("raw", ...)`` / ``("shm", ...)`` descriptor.
-
-    Shared-memory reads copy out of the segment immediately — the
-    coordinator rewrites the image every round.
-    """
-    if desc[0] == "raw":
-        return desc[1], desc[2], desc[3]
-    _kind, name, m = desc
-    seg = segments.get(name)
-    if seg is None:
-        seg = segments[name] = _attach_shm(name)
-    buf = seg.buf
-    bs = np.frombuffer(buf, dtype=_COL_I, count=m, offset=0).copy()
-    bv = np.frombuffer(buf, dtype=_COL_U, count=m, offset=8 * m).copy()
-    bw = np.frombuffer(buf, dtype=_COL_I, count=m, offset=16 * m).copy()
-    return bs, bv, bw
-
-
-def _attach_shm(name: str):
-    """Attach an existing shared-memory segment without tracking it.
-
-    The coordinator owns segment lifetime (it unlinks at pool close);
-    attaching from a worker must not re-register the segment with the
-    resource tracker or the worker's exit would double-unlink it.
-    ``track=`` exists from Python 3.13; older versions need the
-    register/unregister workaround.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - depends on python version
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:
-            pass
-        return seg
-
-
-def _create_shm(size: int):
-    """A fresh shared-memory segment, or ``None`` where unsupported."""
-    try:
-        from multiprocessing import shared_memory
-
-        return shared_memory.SharedMemory(create=True, size=size)
-    except Exception:  # pragma: no cover - platform without shm support
-        return None
-
-
-class InlineColumnarShard:
-    """A columnar shard advanced in the coordinator's own process.
-
-    With ``transport="pickle"`` both the posted round traffic and the
-    emitted update round-trip through :class:`ShardTransport`, so the
-    frames a process boundary would carry are exercised in-process —
-    the configuration the ``diff_columnar`` shards axis gates on.
-    """
-
-    def __init__(
-        self,
-        array: Callable,
-        index: int,
-        lo: int,
-        hi: int,
-        n: int,
-        bandwidth: int,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        check: str,
-        transport: str = "direct",
-    ) -> None:
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self._pickle = transport == "pickle"
-        self._core = _ColumnarShardCore(
-            array, index, lo, hi, n, bandwidth, inputs, auxes, check
-        )
-        self._reply: ColumnarEmit | None = None
-
-    def first(self) -> ColumnarEmit:
-        """The shard's initial advance (before round 1)."""
-        reply = self._core.first()
-        return ShardTransport.roundtrip(reply) if self._pickle else reply
-
-    def post(self, round_no: int, desc: tuple, coo: tuple, bulk: list) -> None:
-        """Deliver one round's owned slice and advance immediately."""
-        if self._pickle:
-            round_no, desc, coo, bulk = ShardTransport.roundtrip(
-                (round_no, desc, coo, bulk)
-            )
-        reply = self._core.step(round_no, (desc[1], desc[2], desc[3]), coo, bulk)
-        self._reply = ShardTransport.roundtrip(reply) if self._pickle else reply
-
-    def wait(self) -> ColumnarEmit:
-        """The reply stashed by the immediately preceding :meth:`post`."""
-        reply, self._reply = self._reply, None
-        return reply
-
-    def close(self, kill: bool = False) -> None:
-        """Inline shards hold no external resources."""
-
-
-def _columnar_worker_main(
-    conn: Any,
-    array: Callable,
-    index: int,
-    lo: int,
-    hi: int,
-    n: int,
-    bandwidth: int,
-    inputs: Sequence[Any],
-    auxes: Sequence[Any],
-    check: str,
-    shm: Any,
-) -> None:  # pragma: no cover - runs in a forked child
-    """Child entry point: hold the shard's program instance, answer rounds."""
-    segments: dict = {}
-    if shm is not None:
-        segments[shm.name] = shm
-    try:
-        try:
-            core = _ColumnarShardCore(
-                array, index, lo, hi, n, bandwidth, inputs, auxes, check
-            )
-            _send_frames(conn, ("ok", core.first()))
-        except Exception as exc:
-            _send_frames(conn, ("error", _picklable_error(exc)))
-            return
-        while True:
-            try:
-                message = _recv_frames(conn)
-            except (EOFError, OSError):
-                return
-            op = message[0]
-            if op == "round":
-                _, round_no, desc, coo, bulk = message
-                try:
-                    bcast = _resolve_bcast(desc, segments)
-                    _send_frames(
-                        conn, ("ok", core.step(round_no, bcast, coo, bulk))
-                    )
-                except Exception as exc:
-                    _send_frames(conn, ("error", _picklable_error(exc)))
-                    return
-            elif op == "close":
-                return
-            else:
-                _send_frames(
-                    conn,
-                    ("error", CliqueError(f"unknown columnar shard op {op!r}")),
-                )
-                return
-    finally:
-        for seg in segments.values():
-            try:
-                seg.close()
-            except Exception:
-                pass
-
-
-class ProcessColumnarShard:
-    """A columnar shard advanced in a forked worker process.
-
-    Forked *before* the program generator runs, so the array program,
-    its closures and the resolved inputs are inherited by memory.  Per
-    round the parent posts ``("round", round_no, bcast_desc, coo,
-    bulk)`` — the owned destination slice as pickle-5 frames, the
-    broadcast columns as either frames or a shared-memory descriptor —
-    and the child replies with the shard's :class:`ColumnarEmit`.
-    ``post``/``wait`` are split so the coordinator fans a round out to
-    every worker before collecting any reply (that concurrency window
-    is the multicore speedup).
-    """
-
-    def __init__(
-        self,
-        context: Any,
-        array: Callable,
-        index: int,
-        lo: int,
-        hi: int,
-        n: int,
-        bandwidth: int,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        check: str,
-        shm: Any,
-    ) -> None:
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self._conn, child_conn = context.Pipe()
-        self._proc = context.Process(
-            target=_columnar_worker_main,
-            args=(
-                child_conn,
-                array,
-                index,
-                lo,
-                hi,
-                n,
-                bandwidth,
-                inputs,
-                auxes,
-                check,
-                shm,
-            ),
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
-
-    def _receive(self) -> ColumnarEmit:
-        try:
-            kind, payload = _recv_frames(self._conn)
-        except (EOFError, OSError) as exc:
-            raise CliqueError(
-                f"columnar shard {self.index} worker died mid-run "
-                f"(exit code {self._proc.exitcode}): {exc}"
-            ) from None
-        if kind == "error":
-            raise payload
-        return payload
-
-    def first(self) -> ColumnarEmit:
-        """The child's initial advance (sent eagerly on startup)."""
-        return self._receive()
-
-    def post(self, round_no: int, desc: tuple, coo: tuple, bulk: list) -> None:
-        """Ship one round's owned slice to the child (non-blocking)."""
-        _send_frames(self._conn, ("round", round_no, desc, coo, bulk))
-
-    def wait(self) -> ColumnarEmit:
-        """Block for the child's reply to the posted round."""
-        return self._receive()
-
-    def close(self, kill: bool = False) -> None:
-        """Tear the worker down (normal completion and error paths)."""
-        if not kill and self._proc.is_alive():
-            try:
-                _send_frames(self._conn, ("close",))
-            except OSError:  # pragma: no cover - pipe already gone
-                pass
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if self._proc.is_alive():
-            if kill:
-                self._proc.terminate()
-            self._proc.join(timeout=5.0)
-            if self._proc.is_alive():  # pragma: no cover - terminate ignored
-                self._proc.kill()
-                self._proc.join(timeout=5.0)
-
-
 class ColumnarShardPool:
-    """The coordinator's handle on a set of columnar shards.
+    """The coordinator's handle on one run's columnar shards.
 
-    Owns the shared-memory broadcast image: per round the broadcast
-    columns are written once and every process worker reads its copy
-    from the mapping, so only the per-shard unicast/bulk slices travel
-    the pipes.  The image grows by reallocation when a round's
-    broadcast traffic outgrows it (workers re-attach by name).
+    Every shard advances on a ``ThreadPoolExecutor`` that belongs to
+    this run alone.  :meth:`step` submits every live shard's round
+    before reading any result, so the rounds overlap; :meth:`close`
+    joins the threads, so none outlives the run (the sweep pool and the
+    daemon fork later, and forking a process with live threads is
+    unsafe).
     """
 
     def __init__(
         self,
-        shards: list,
+        executor: ThreadPoolExecutor,
         ranges: "list[tuple[int, int]]",
-        shm: Any,
-        segments: list,
+        started: list,
     ) -> None:
-        self.shards = shards
         self.ranges = ranges
-        self._shm = shm
-        self._segments = segments
+        self._executor = executor
+        self._started = started
+        self._cores: "list[_ColumnarShardCore]" = []
 
     def first(self) -> "list[ColumnarEmit]":
         """Every shard's initial advance, in shard order."""
-        return [shard.first() for shard in self.shards]
+        replies = []
+        for future in self._started:
+            core, reply = future.result()
+            self._cores.append(core)
+            replies.append(reply)
+        return replies
 
     def step(
         self,
@@ -861,44 +597,23 @@ class ColumnarShardPool:
         """Fan one round out to the live shards; replies in ``live`` order.
 
         ``slices[i]`` is ``(coo, bulk)`` — the owned destination slice
-        of shard ``live[i]``.  All posts complete before any reply is
-        awaited, so process workers compute the round concurrently.
+        of shard ``live[i]``.  All rounds are submitted before any
+        result is awaited, so the shard threads compute concurrently.
         """
-        desc = self._bcast_descriptor(*bcast)
-        for index, (coo, bulk) in zip(live, slices):
-            self.shards[index].post(round_no, desc, coo, bulk)
-        return [self.shards[index].wait() for index in live]
-
-    def _bcast_descriptor(self, bs, bv, bw) -> tuple:
-        m = int(bs.size)
-        if self._shm is None or m < _SHM_MIN_BCAST:
-            return ("raw", bs, bv, bw)
-        need = 24 * m
-        if need > self._shm.size:
-            seg = _create_shm(max(2 * need, 2 * self._shm.size))
-            if seg is None:  # pragma: no cover - platform without shm
-                self._shm = None
-                return ("raw", bs, bv, bw)
-            self._segments.append(seg)
-            self._shm = seg
-        buf = self._shm.buf
-        np.frombuffer(buf, dtype=_COL_I, count=m, offset=0)[:] = bs
-        np.frombuffer(buf, dtype=_COL_U, count=m, offset=8 * m)[:] = bv
-        np.frombuffer(buf, dtype=_COL_I, count=m, offset=16 * m)[:] = bw
-        return ("shm", self._shm.name, m)
+        submit = self._executor.submit
+        futures = [
+            submit(self._cores[index].step, round_no, bcast, coo, bulk)
+            for index, (coo, bulk) in zip(live, slices)
+        ]
+        return [future.result() for future in futures]
 
     def close(self, kill: bool = False) -> None:
-        """Close every shard, then release the shared-memory segments."""
-        for shard in self.shards:
-            shard.close(kill=kill)
-        for seg in self._segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except Exception:  # pragma: no cover - already unlinked
-                pass
-        self._segments = []
-        self._shm = None
+        """Join every shard thread; ``kill`` also cancels queued rounds.
+
+        A shard thread cannot be interrupted: a shard stuck inside its
+        program still blocks this join.
+        """
+        self._executor.shutdown(wait=True, cancel_futures=kill)
 
 
 def spawn_columnar_shards(
@@ -910,80 +625,34 @@ def spawn_columnar_shards(
     *,
     check: str,
     count: int,
-    executor: str = "process",
-    transport: str = "direct",
 ) -> ColumnarShardPool:
-    """Build the shard pool for one shard-parallel columnar run.
+    """Start the shards of one shard-parallel columnar run.
 
-    ``executor="process"`` forks one worker per shard (falling back to
-    inline, with a :class:`RuntimeWarning`, where ``fork`` is
-    unavailable) and preallocates the shared-memory broadcast image
-    *before* forking so every worker inherits the mapping.
+    Opens a ``count``-thread executor and submits, per shard, building
+    its program instance and the initial advance;
+    :meth:`ColumnarShardPool.first` collects the results.
     """
     ranges = shard_ranges(n, count)
-    context = None
-    if executor == "process":
-        context = _fork_context()
-        if context is None:
-            warnings.warn(
-                "columnar engine: process executor needs the 'fork' start "
-                "method outside a daemonic worker; falling back to inline "
-                "shards",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            executor = "inline"
-    shm = None
-    segments: list = []
-    if executor == "process":
-        shm = _create_shm(24 * max(n, 1) + 4096)
-        if shm is not None:
-            segments.append(shm)
-    shards: list = []
+    executor = ThreadPoolExecutor(
+        max_workers=len(ranges), thread_name_prefix="columnar-shard"
+    )
+
+    def start(index: int, lo: int, hi: int):
+        core = _ColumnarShardCore(
+            array, index, lo, hi, n, bandwidth, inputs, auxes, check
+        )
+        return core, core.first()
+
     try:
-        for index, (lo, hi) in enumerate(ranges):
-            if executor == "process":
-                shards.append(
-                    ProcessColumnarShard(
-                        context,
-                        array,
-                        index,
-                        lo,
-                        hi,
-                        n,
-                        bandwidth,
-                        inputs,
-                        auxes,
-                        check,
-                        shm,
-                    )
-                )
-            else:
-                shards.append(
-                    InlineColumnarShard(
-                        array,
-                        index,
-                        lo,
-                        hi,
-                        n,
-                        bandwidth,
-                        inputs,
-                        auxes,
-                        check,
-                        transport,
-                    )
-                )
+        started = [
+            executor.submit(start, index, lo, hi)
+            for index, (lo, hi) in enumerate(ranges)
+        ]
     except BaseException:
-        for shard in shards:
-            shard.close(kill=True)
-        for seg in segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except Exception:
-                pass
+        # e.g. the host refused another thread: join the ones started.
+        executor.shutdown(wait=True, cancel_futures=True)
         raise
-    return ColumnarShardPool(shards, ranges, shm, segments)
+    return ColumnarShardPool(executor, ranges, started)
 
 
 @register_engine

@@ -1,6 +1,11 @@
 """Shard-parallel columnar execution: bit-identical results at every
-shard count, transparent fallback everywhere the shard contract cannot
-express the run, and the ``shards`` knob across the spec/CLI surface."""
+shard count, shard threads that never outlive a run, transparent
+fallback everywhere the shard contract cannot express the run, and the
+``shards`` knob across the spec/CLI surface."""
+
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +20,7 @@ from repro.engine import (
     resolve_engine,
 )
 from repro.engine.diff import catalog_factory
-from repro.engine.pool import run_spec
-from repro.service import kernel as service_kernel
+from repro.engine.pool import run_spec, run_sweep, shutdown_pool
 
 FANOUT = {"algorithm": "fanout", "n": 24, "rounds": 3, "seed": 4}
 FANOUT_WORK = {
@@ -38,8 +42,10 @@ def _assert_identical(base, other):
     assert other.outputs == base.outputs
     assert other.rounds == base.rounds
     assert other.total_message_bits == base.total_message_bits
+    assert other.bulk_bits == base.bulk_bits
     assert other.sent_bits == base.sent_bits
     assert other.received_bits == base.received_bits
+    assert other.counters == base.counters
     assert other.metrics == base.metrics
 
 
@@ -49,40 +55,16 @@ class TestShardedParity:
     @pytest.mark.parametrize("config", [FANOUT, FANOUT_WORK], ids=["fanout", "work"])
     @pytest.mark.parametrize("shards", [1, 2, 3, 7, 64])
     def test_inline_shards_match_single_instance(self, config, shards):
+        # In-process shards (threads of this process) at every count.
         base = _run_columnar(config)
-        split = _run_columnar(config, shards=shards, executor="inline")
-        _assert_identical(base, split)
-
-    @pytest.mark.parametrize("transport", ["direct", "pickle"])
-    def test_transports_agree(self, transport):
-        base = _run_columnar(FANOUT_WORK)
-        split = _run_columnar(
-            FANOUT_WORK, shards=3, executor="inline", transport=transport
-        )
-        _assert_identical(base, split)
-
-    def test_process_executor_matches_single_instance(self):
-        if service_kernel._fork_context() is None:
-            pytest.skip("no usable fork start method on this platform")
-        base = _run_columnar(FANOUT_WORK)
-        split = _run_columnar(FANOUT_WORK, shards=2, executor="process")
-        _assert_identical(base, split)
-
-    def test_shared_memory_broadcast_image(self, monkeypatch):
-        # Force every broadcast round through the shm descriptor path
-        # (the default threshold keeps rounds this small inline).
-        if service_kernel._fork_context() is None:
-            pytest.skip("no usable fork start method on this platform")
-        monkeypatch.setattr(service_kernel, "_SHM_MIN_BCAST", 1)
-        base = _run_columnar(FANOUT)
-        split = _run_columnar(FANOUT, shards=3, executor="process")
+        split = _run_columnar(config, shards=shards)
         _assert_identical(base, split)
 
     def test_matches_fast_engine_too(self):
         fast, _ = run_spec(
             catalog_factory(dict(FANOUT_WORK)), FastEngine(check="bandwidth")
         )
-        split = _run_columnar(FANOUT_WORK, shards=3, executor="inline")
+        split = _run_columnar(FANOUT_WORK, shards=3)
         assert split.outputs == fast.outputs
         assert split.rounds == fast.rounds
         assert split.total_message_bits == fast.total_message_bits
@@ -133,18 +115,88 @@ class TestShardContract:
         split = clique.run(
             _bulk_echo,
             inputs,
-            engine=ColumnarEngine(
-                check="bandwidth", shards=4, executor="inline"
-            ),
+            engine=ColumnarEngine(check="bandwidth", shards=4),
         )
         assert base.outputs[0] == sum(inputs)
         _assert_identical(base, split)
 
     def test_owned_source_violation_raises(self):
         clique = CongestedClique(6, max_rounds=10)
-        engine = ColumnarEngine(check="bandwidth", shards=3, executor="inline")
+        engine = ColumnarEngine(check="bandwidth", shards=3)
         with pytest.raises(CliqueError, match="non-owned sender"):
             clique.run(_foreign_sender, engine=engine)
+
+
+@array_program(shardable=True)
+def _inbox_writer(ctx):
+    # Violates the shared-address-space contract: after one round of
+    # broadcasts and unicasts it zeroes the inbox column named by
+    # ``ctx.auxes[0]`` — columns its neighbour shards read as well.
+    lo, hi = ctx.lo, ctx.hi
+    owned = ctx.ids[lo:hi]
+    ctx.broadcast(np.ones(hi - lo, dtype=np.uint64), 1, senders=owned)
+    ctx.send(owned, (owned + 1) % ctx.n, 1, 1)
+    yield
+    if ctx.auxes[0] == "broadcast":
+        ctx.inbox_broadcast[1][:] = 0
+    else:
+        ctx.inbox_messages[2][:] = 0
+    return None
+
+
+class TestSharedAddressSpace:
+    """Shards are threads: deterministic, read-only inboxes, joined."""
+
+    @pytest.mark.parametrize("column", ["broadcast", "messages"])
+    def test_inbox_write_raises(self, column):
+        clique = CongestedClique(8, max_rounds=10)
+        engine = ColumnarEngine(check="bandwidth", shards=3)
+        with pytest.raises(ValueError, match="read-only"):
+            clique.run(_inbox_writer, aux=column, engine=engine)
+
+    def test_oversubscribed_threads_stay_identical(self):
+        # More shards than cores, and a switch interval that preempts
+        # the shard threads at every opportunity.
+        baseline = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for config in (FANOUT, FANOUT_WORK):
+                for seed in range(3):
+                    point = dict(config, n=40, seed=seed)
+                    base = _run_columnar(point)
+                    split = _run_columnar(point, shards=8)
+                    _assert_identical(base, split)
+                    assert threading.active_count() == baseline
+            engine = ColumnarEngine(check="bandwidth", shards=8)
+            with pytest.raises(CliqueError, match="non-owned sender"):
+                CongestedClique(16, max_rounds=10).run(
+                    _foreign_sender, engine=engine
+                )
+            assert threading.active_count() == baseline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sharded_run_inside_sweep_workers(self):
+        # Sweep workers are daemonic forked processes; the shards must
+        # run there too, silently.  Warnings turn into errors in the
+        # freshly forked workers, so a fallback warning fails the point.
+        configs = [dict(FANOUT_WORK, seed=seed) for seed in (1, 2)]
+        single = ExecutionSpec(engine="columnar", check="bandwidth")
+        sharded = ExecutionSpec(engine="columnar", check="bandwidth", shards=2)
+        shutdown_pool()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                split = run_sweep(
+                    catalog_factory, configs, workers=2, execution=sharded
+                )
+        finally:
+            shutdown_pool()
+        base = run_sweep(catalog_factory, configs, workers=1, execution=single)
+        for outcome, reference in zip(split, base):
+            assert not outcome.failed, outcome.error
+            _assert_identical(reference.result, outcome.result)
 
 
 @array_program
@@ -170,13 +222,13 @@ class TestFallback:
 
     def test_shardable_program_dispatches_sharded(self, monkeypatch):
         calls = self._ran_sharded(monkeypatch)
-        _run_columnar(FANOUT, shards=2, executor="inline")
+        _run_columnar(FANOUT, shards=2)
         assert calls
 
     def test_non_shardable_program_falls_back(self, monkeypatch):
         calls = self._ran_sharded(monkeypatch)
         clique = CongestedClique(6, max_rounds=10)
-        engine = ColumnarEngine(check="bandwidth", shards=3, executor="inline")
+        engine = ColumnarEngine(check="bandwidth", shards=3)
         result = clique.run(_plain_fanout, engine=engine)
         assert not calls
         assert result.outputs == {v: v for v in range(6)}
@@ -184,7 +236,7 @@ class TestFallback:
     def test_fault_plan_falls_back_and_stays_identical(self, monkeypatch):
         calls = self._ran_sharded(monkeypatch)
         plan = "drop=0.2,corrupt=0.1,duplicate=0.1,seed=3"
-        engine = ColumnarEngine(check="bandwidth", shards=3, executor="inline")
+        engine = ColumnarEngine(check="bandwidth", shards=3)
         split, _ = run_spec(
             catalog_factory(dict(FANOUT)), engine, fault_plan=plan
         )
@@ -223,20 +275,20 @@ class TestEngineKnobs:
             ColumnarEngine(shards=bad)
 
     def test_invalid_executor_and_transport_rejected(self):
-        with pytest.raises(CliqueError, match="executor"):
-            ColumnarEngine(shards=2, executor="threads")
-        with pytest.raises(CliqueError, match="transport"):
-            ColumnarEngine(shards=2, transport="json")
+        # Shard execution has no executor or transport option.
+        with pytest.raises(TypeError, match="executor"):
+            ColumnarEngine(shards=2, executor="process")
+        with pytest.raises(TypeError, match="transport"):
+            ColumnarEngine(shards=2, transport="pickle")
 
     def test_describe_mentions_shards_only_when_set(self):
         plain = ColumnarEngine().describe()
         assert "shards" not in plain
-        sharded = ColumnarEngine(
-            shards=4, executor="inline", transport="pickle"
-        ).describe()
+        sharded = ColumnarEngine(shards=4).describe()
         assert sharded["shards"] == 4
-        assert sharded["executor"] == "inline"
-        assert sharded["transport"] == "pickle"
+        assert "executor" not in sharded
+        assert "transport" not in sharded
+        assert set(sharded) == set(plain) | {"shards"}
 
 
 class TestSpecSurface:
