@@ -66,11 +66,25 @@ class _LazyChoices:
 
 
 def _engine_choices() -> "list[str]":
-    """Every registered backend, lazily-registered ones included — the
-    registry is the single source of truth, not a hardcoded list."""
+    """Every registered backend — the registry is the single source of
+    truth, not a hardcoded list."""
     from .engine.base import engine_names
 
     return engine_names()
+
+
+class _EngineChoices(_LazyChoices):
+    """``--engine`` choices: help lists the registered backends, while a
+    retired name is let through so that resolving it fails with a
+    pointer to its replacement rather than a bare "invalid choice"."""
+
+    def __init__(self) -> None:
+        super().__init__(_engine_choices)
+
+    def __contains__(self, item) -> bool:
+        from .engine.base import RETIRED_ENGINES
+
+        return item in RETIRED_ENGINES or super().__contains__(item)
 
 
 def _check_choices() -> "list[str]":
@@ -135,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
         "--engine",
-        choices=_LazyChoices(_engine_choices),
+        choices=_EngineChoices(),
         default=None,
         help="execution backend (default: reference)",
     )
@@ -181,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--engine",
-        choices=_LazyChoices(_engine_choices),
+        choices=_EngineChoices(),
         default="fast",
     )
     p_sweep.add_argument(
@@ -230,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--p", type=float, default=None)
     p_stats.add_argument(
         "--engine",
-        choices=_LazyChoices(_engine_choices),
+        choices=_EngineChoices(),
         default="fast",
     )
     p_stats.add_argument(
@@ -334,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--p", type=float, default=None)
     p_trace.add_argument(
         "--engine",
-        choices=_LazyChoices(_engine_choices),
+        choices=_EngineChoices(),
         default="fast",
     )
     p_trace.add_argument(
@@ -712,20 +726,15 @@ def _big(x: int) -> str:
 def _cmd_predict(args) -> int:
     from .analysis import symbolic
     from .analysis.report import format_table
-    from .clique.errors import CliqueError
 
     if args.validate:
         names = [args.algorithm] if args.algorithm else None
-        try:
-            report = symbolic.validate_symbolic(
-                names=names,
-                ns=args.ns or symbolic.DEFAULT_VALIDATION_NS,
-                config=_predict_config(args),
-                engines=tuple(args.engines),
-            )
-        except CliqueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = symbolic.validate_symbolic(
+            names=names,
+            ns=args.ns or symbolic.DEFAULT_VALIDATION_NS,
+            config=_predict_config(args),
+            engines=tuple(args.engines),
+        )
         print(report.markdown() if args.markdown else report.table())
         return 0 if report.ok else 1
 
@@ -735,11 +744,7 @@ def _cmd_predict(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        model = symbolic.get_cost_model(args.algorithm)
-    except CliqueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = symbolic.get_cost_model(args.algorithm)
     config = _predict_config(args)
     print(f"algorithm: {model.name}")
     print(f"rounds        = {model.rounds}")
@@ -759,20 +764,16 @@ def _cmd_predict(args) -> int:
         cur *= 4
     ns.append(target)
     rows = []
-    try:
-        for point in symbolic.predict_points(model.name, ns, config):
-            rows.append(
-                {
-                    "n": point.n,
-                    "rounds": _big(point.rounds),
-                    "message_bits": _big(point.message_bits),
-                    "bulk_bits": _big(point.bulk_bits),
-                    "total_bits": _big(point.total_bits),
-                }
-            )
-    except CliqueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for point in symbolic.predict_points(model.name, ns, config):
+        rows.append(
+            {
+                "n": point.n,
+                "rounds": _big(point.rounds),
+                "message_bits": _big(point.message_bits),
+                "bulk_bits": _big(point.bulk_bits),
+                "total_bits": _big(point.total_bits),
+            }
+        )
     print()
     print(format_table(rows, title="closed-form extrapolation"))
     return 0
@@ -1243,8 +1244,10 @@ def _cmd_demo(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from .clique.errors import CliqueError
+
     args = build_parser().parse_args(argv)
-    return {
+    command = {
         "figure1": _cmd_figure1,
         "miniature": _cmd_miniature,
         "counting": _cmd_counting,
@@ -1256,7 +1259,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench": _cmd_bench,
         "serve": _cmd_serve,
         "demo": _cmd_demo,
-    }[args.command](args)
+    }[args.command]
+    try:
+        return command(args)
+    except CliqueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

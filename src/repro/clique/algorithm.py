@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 from .graph import CliqueGraph
@@ -39,21 +38,14 @@ def run_algorithm(
     receives ``graph.local_view(v)`` as its input and ``aux``'s per-node
     resolution as auxiliary input.
 
-    ``record_transcripts=`` is the deprecated spelling of
-    ``transcripts=`` (it warns and keeps working).
+    ``record_transcripts=`` is the retired spelling of ``transcripts=``
+    and raises :class:`TypeError`.
     """
     if record_transcripts is not _UNSET:
-        if transcripts is not None:
-            raise TypeError(
-                "run_algorithm() got both transcripts= and the deprecated "
-                "record_transcripts="
-            )
-        warnings.warn(
-            "record_transcripts= is deprecated; use transcripts=",
-            DeprecationWarning,
-            stacklevel=2,
+        raise TypeError(
+            "run_algorithm() no longer accepts record_transcripts=; "
+            "use transcripts="
         )
-        transcripts = bool(record_transcripts)
     clique = CongestedClique(
         graph.n,
         bandwidth=bandwidth,

@@ -23,7 +23,6 @@ the batched performance backend.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Generator, Mapping, Sequence
 
@@ -341,8 +340,8 @@ class CongestedClique:
 
         ``node_input`` and ``aux`` are per-node specs (see
         :func:`_resolve_per_node`); typically ``node_input`` is the input
-        :class:`CliqueGraph`.  Passing ``aux`` positionally is deprecated
-        (it warns and keeps working); use the keyword.
+        :class:`CliqueGraph`.  Passing ``aux`` positionally raises
+        :class:`TypeError`; use the keyword.
 
         ``execution`` bundles every "how does this run execute" setting
         into one :class:`repro.engine.ExecutionSpec` (or a dict / engine
@@ -381,22 +380,10 @@ class CongestedClique:
         attached tracer.
         """
         if legacy_aux:
-            if len(legacy_aux) > 1:
-                raise TypeError(
-                    f"run() takes at most 3 positional arguments "
-                    f"({2 + len(legacy_aux)} given)"
-                )
-            if aux is not None:
-                raise TypeError(
-                    "run() got aux both positionally and by keyword"
-                )
-            warnings.warn(
-                "passing aux positionally to CongestedClique.run is "
-                "deprecated; use run(program, node_input, aux=...)",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                "CongestedClique.run() no longer accepts aux "
+                "positionally; use run(program, node_input, aux=...)"
             )
-            aux = legacy_aux[0]
         # Imported lazily: repro.engine sits above the clique substrate
         # in the layering, so the substrate must not load it at import
         # time.

@@ -15,7 +15,6 @@ algorithm catalog.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
@@ -30,6 +29,7 @@ __all__ = [
     "CHECK_LEVELS",
     "ENGINES",
     "Engine",
+    "RETIRED_ENGINES",
     "canonical_check",
     "engine_names",
     "register_engine",
@@ -47,45 +47,46 @@ CHECK_LEVELS = ("full", "bandwidth", "off")
 #: Registry of engine names to engine classes (see :func:`register_engine`).
 ENGINES: dict[str, type["Engine"]] = {}
 
-#: Engines that live *above* this package (the service layer) and are
-#: imported on first resolve, keeping the engine -> service layering
-#: acyclic: ``repro.service`` imports ``repro.engine`` freely, while the
-#: engine registry only learns the module path of the lazy backend.
-_LAZY_ENGINES: dict[str, str] = {"sharded": "repro.service.kernel"}
+#: Engine names that no longer resolve, mapped to what to use instead.
+#: Kept apart from :data:`ENGINES` so a retired name fails with a
+#: pointer rather than with a generic "unknown engine".
+RETIRED_ENGINES: dict[str, str] = {
+    "sharded": (
+        "for shard-parallel runs use ExecutionSpec(engine='columnar', "
+        "shards=N) with an array program, or engine='fast' for "
+        "per-node generator programs"
+    ),
+}
 
 
 def canonical_check(spec: Any) -> str | None:
     """Normalise a ``check=`` argument to the canonical vocabulary.
 
-    ``None`` passes through (meaning "the engine's default").  The old
-    boolean spelling (``True``/``False`` for validation on/off) is
-    mapped to ``"full"``/``"off"`` with a :class:`DeprecationWarning`.
+    ``None`` passes through (meaning "the engine's default").  The
+    retired boolean spelling (``True``/``False``) raises with the
+    level to use instead.
     """
     if spec is None:
         return None
     if spec is True or spec is False:
         mapped = "full" if spec else "off"
-        warnings.warn(
-            f"check={spec!r} is deprecated; use check={mapped!r} "
-            f"(one of {CHECK_LEVELS})",
-            DeprecationWarning,
-            stacklevel=3,
+        raise CliqueError(
+            f"check={spec!r} is no longer accepted; use check={mapped!r} "
+            f"(one of {CHECK_LEVELS})"
         )
-        return mapped
     if spec in CHECK_LEVELS:
         return spec
     raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {spec!r}")
 
 
 def engine_names() -> list[str]:
-    """Sorted names of every known backend, lazily-registered ones included.
+    """Sorted names of every registered backend.
 
     This is the single source of truth for user-facing engine choices
     (``repro run/sweep/stats/trace --engine``): a backend registered via
-    :func:`register_engine` or listed in :data:`_LAZY_ENGINES` appears
-    here without any CLI change.
+    :func:`register_engine` appears here without any CLI change.
     """
-    return sorted(set(ENGINES) | set(_LAZY_ENGINES))
+    return sorted(ENGINES)
 
 
 def register_engine(cls: type["Engine"]) -> type["Engine"]:
@@ -143,10 +144,8 @@ def resolve_engine(
                 )
         return spec
     if isinstance(spec, str):
-        if spec not in ENGINES and spec in _LAZY_ENGINES:
-            import importlib
-
-            importlib.import_module(_LAZY_ENGINES[spec])
+        if spec in RETIRED_ENGINES:
+            raise CliqueError(f"engine {spec!r} was removed; {RETIRED_ENGINES[spec]}")
         try:
             cls = ENGINES[spec]
         except KeyError:

@@ -140,7 +140,7 @@ class DualProgram:
 
     ``generator`` is the classic per-node program (``program(node)``);
     ``array`` is the columnar form (``program(ctx)``).  The object is
-    itself callable as a node program, so the reference/fast/sharded
+    itself callable as a node program, so the reference and fast
     engines run the generator form unchanged while the columnar engine
     picks up :attr:`array` — which is how ``repro.engine.diff``
     differentially gates every columnar port against the reference

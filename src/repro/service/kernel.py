@@ -1,158 +1,41 @@
-"""Sharded discrete-event coroutine kernel: the ``"sharded"`` backend.
+"""Host for the shard threads of shard-parallel columnar runs.
 
-The reference and fast engines drive all ``n`` node generators from one
-flat loop.  This module restructures execution for scale-out: nodes
-become cheap coroutine *tasks* scheduled by a round-synchronous
-:class:`Kernel` (in the spirit of usim's discrete-event kernel — tasks
-``yield`` to sleep until the next round barrier), and the node range is
-partitioned into :class:`InlineShard`/:class:`ProcessShard` units that
-advance independently between barriers:
+``ExecutionSpec(engine="columnar", shards=N)`` splits a *shardable*
+array program (see :func:`repro.engine.columnar.array_program`) across
+``N`` contiguous node ranges.  Each shard holds a full
+:class:`~repro.engine.columnar.ArrayContext` restricted to its owned
+range and runs its own instance of the program; the coordinator loop
+(validation, fault injection, delivery and bit accounting) lives in
+``ColumnarEngine._execute_sharded``.  This module provides the pieces
+underneath it:
 
-* each round, every shard advances its live tasks to their next
-  ``yield`` and drains their queued messages into one update;
-* the coordinator (:class:`ShardedEngine`) validates, applies fault
-  injection, performs delivery and bit accounting exactly like the fast
-  engine's explicit path, then hands each shard its nodes' inboxes;
-* shard boundary crossings use :class:`ShardTransport` — pickle
-  protocol 5 with out-of-band buffers — so payload bytes move without
-  an extra copy; ``ProcessShard`` speaks the same codec over a pipe to
-  a forked worker that holds its node generators for the whole run
-  (``fork`` means the program, inputs and closures are inherited by
-  memory, never pickled).
+* :func:`shard_ranges` — the balanced contiguous partition of ``0..n-1``;
+* :class:`_ColumnarShardCore` — one shard's program instance, advanced
+  step by step, enforcing that every emission comes from an owned node;
+* :class:`ColumnarShardPool` / :func:`spawn_columnar_shards` — the
+  per-run ``ThreadPoolExecutor`` the shards advance on.
 
-The backend registers as ``engine="sharded"`` (resolved lazily by
-:func:`repro.engine.base.resolve_engine` to keep the layering acyclic)
-and must stay observationally equivalent to the reference engine —
-``tests/service/test_kernel.py`` runs the full
-:mod:`repro.engine.diff` catalog against it.
+Shards live in the coordinator's address space, so round traffic is
+handed over as read-only numpy columns rather than shipped, and the
+programs' lane arithmetic runs in numpy ufuncs that release the GIL —
+the shard threads overlap on a multicore host.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
-import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..clique.bits import BitString
-from ..clique.errors import CliqueError, RoundLimitExceeded
-from ..clique.network import NodeProgram, RunResult
-from ..clique.transcript import RoundRecord, Transcript
-from ..engine.base import (
-    CHECK_LEVELS,
-    Engine,
-    canonical_check,
-    register_engine,
-)
-from ..engine.fast import _BROADCAST, _FastNode
-from ..engine.pool import RunSpec
-from ..faults import FaultInjector, resolve_fault_plan
-from ..obs import RoundStats, resolve_observer
-from ..obs.profile import PhaseTimer
+from ..clique.errors import CliqueError
 
 __all__ = [
     "ColumnarEmit",
     "ColumnarShardPool",
-    "InlineShard",
-    "Kernel",
-    "ProcessShard",
-    "ShardTransport",
-    "ShardedEngine",
-    "fanout_spec",
     "shard_ranges",
     "spawn_columnar_shards",
 ]
-
-#: Default shard count when the engine is built without an explicit one.
-DEFAULT_SHARDS = 4
-
-#: One shard's per-round report: ``(halted, entries)`` where ``halted``
-#: is ``[(node, output)]`` for tasks that returned this step and
-#: ``entries`` is ``[(src, dst, payload, is_bulk)]`` in queue order
-#: (``dst == -1`` marks an unexpanded broadcast).
-ShardUpdate = tuple
-
-
-class Kernel:
-    """Round-synchronous discrete-event scheduler for node coroutines.
-
-    Tasks are generators; ``yield`` suspends a task until the next round
-    barrier, ``return value`` finishes it.  The kernel keeps the wait
-    queue in spawn order, so with tasks spawned by ascending node id the
-    advance order matches the lockstep engines (``sorted(live)``).
-    """
-
-    __slots__ = ("now", "_waiting")
-
-    def __init__(self) -> None:
-        #: The current round clock (advanced by :meth:`step`).
-        self.now = 0
-        self._waiting: deque[tuple[int, Any]] = deque()
-
-    def spawn(self, key: int, coroutine: Any) -> None:
-        """Add a task; it first runs at the next :meth:`step`."""
-        if not hasattr(coroutine, "send"):
-            raise CliqueError(
-                "node program must be a generator function "
-                "(use 'yield' for round boundaries)"
-            )
-        self._waiting.append((key, coroutine))
-
-    def __len__(self) -> int:
-        """Number of tasks still waiting on the next barrier."""
-        return len(self._waiting)
-
-    def step(self, round_no: int) -> list[tuple[int, Any]]:
-        """Advance the clock to ``round_no`` and run every waiting task
-        once (to its next ``yield``); returns ``(key, return value)``
-        for the tasks that finished during this step."""
-        self.now = round_no
-        ready = self._waiting
-        self._waiting = deque()
-        finished: list[tuple[int, Any]] = []
-        while ready:
-            key, coroutine = ready.popleft()
-            try:
-                next(coroutine)
-            except StopIteration as stop:
-                finished.append((key, stop.value))
-            else:
-                self._waiting.append((key, coroutine))
-        return finished
-
-
-class ShardTransport:
-    """Pickle-protocol-5 codec for data crossing a shard boundary.
-
-    ``encode`` splits an object into a pickle body plus out-of-band
-    buffers (zero-copy for buffer-backed payloads such as numpy arrays);
-    ``decode`` reassembles it.  Both the in-process loopback transport
-    (``transport="pickle"``) and the :class:`ProcessShard` pipe protocol
-    go through this codec, so the bytes that would cross a real machine
-    boundary are exercised even in single-process runs.
-    """
-
-    @staticmethod
-    def encode(obj: Any) -> tuple[bytes, list[bytes]]:
-        """``obj`` as ``(body, buffers)``."""
-        buffers: list[pickle.PickleBuffer] = []
-        body = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-        return body, [buf.raw().tobytes() for buf in buffers]
-
-    @staticmethod
-    def decode(body: bytes, buffers: Sequence[bytes]) -> Any:
-        """Inverse of :meth:`encode`."""
-        return pickle.loads(body, buffers=buffers)
-
-    @classmethod
-    def roundtrip(cls, obj: Any) -> Any:
-        """Encode then decode (the in-process loopback transport)."""
-        body, buffers = cls.encode(obj)
-        return cls.decode(body, buffers)
 
 
 def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
@@ -161,284 +44,6 @@ def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
         raise CliqueError(f"need at least one shard, got {shards}")
     shards = min(shards, n)
     return [(i * n // shards, (i + 1) * n // shards) for i in range(shards)]
-
-
-def _build_nodes(
-    program: NodeProgram,
-    lo: int,
-    hi: int,
-    n: int,
-    bandwidth: int,
-    inputs: Sequence[Any],
-    auxes: Sequence[Any],
-    check: str,
-) -> tuple[dict[int, _FastNode], Kernel]:
-    """One shard's nodes and kernel, tasks spawned in node order."""
-    nodes: dict[int, _FastNode] = {}
-    kernel = Kernel()
-    for v in range(lo, hi):
-        node = _FastNode(v, n, bandwidth, inputs[v], auxes[v], check)
-        nodes[v] = node
-        kernel.spawn(v, program(node))
-    return nodes, kernel
-
-
-def _drain_entries(
-    nodes: dict[int, _FastNode], full_check: bool
-) -> list[tuple[int, int, BitString, bool]]:
-    """Collect every queued message of a shard in delivery order.
-
-    Mirrors the fast engine's explicit path: per node (ascending id),
-    first the flat outbox in queue order, then the bulk channel.
-    """
-    entries: list[tuple[int, int, BitString, bool]] = []
-    for v, node in nodes.items():
-        if node._flat_out:
-            for dst, payload in node._flat_out:
-                entries.append((v, dst, payload, False))
-            node._flat_out = []
-        if node._flat_bulk:
-            for dst, payload in node._flat_bulk:
-                entries.append((v, dst, payload, True))
-            node._flat_bulk = []
-        if full_check and node._sent_to:
-            node._sent_to.clear()
-    return entries
-
-
-class InlineShard:
-    """A shard advanced in the coordinator's own process.
-
-    With ``transport="pickle"`` every update is round-tripped through
-    :class:`ShardTransport` before the coordinator reads it, so the
-    serialised form is validated without a process boundary.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        lo: int,
-        hi: int,
-        program: NodeProgram,
-        n: int,
-        bandwidth: int,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        check: str,
-        transport: str = "direct",
-    ) -> None:
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self._full_check = check == "full"
-        self._pickle = transport == "pickle"
-        self._nodes, self._kernel = _build_nodes(
-            program, lo, hi, n, bandwidth, inputs, auxes, check
-        )
-
-    def step(self, round_no: int, inbound: "list[dict] | None") -> ShardUpdate:
-        """Deliver ``inbound`` (one inbox dict per node in ``lo..hi-1``,
-        or ``None`` before the first round), advance every live task,
-        and return the shard's update."""
-        if inbound is not None:
-            for offset, v in enumerate(range(self.lo, self.hi)):
-                node = self._nodes[v]
-                node._inbox = inbound[offset]
-                node._round = round_no
-        halted = self._kernel.step(round_no)
-        entries = _drain_entries(self._nodes, self._full_check)
-        for v, _ in halted:
-            self._nodes[v]._halted = True
-        update = (halted, entries)
-        if self._pickle:
-            update = ShardTransport.roundtrip(update)
-        return update
-
-    def finish(self) -> dict[int, dict]:
-        """Per-node measurement counters, keyed by absolute node id."""
-        return {v: dict(node.counters) for v, node in self._nodes.items()}
-
-    def close(self, kill: bool = False) -> None:
-        """Inline shards hold no external resources."""
-
-
-# -- process shards ----------------------------------------------------------
-
-
-def _send_frames(conn: Any, obj: Any) -> None:
-    """Ship ``obj`` over a pipe as pickle-5 frames (body + raw buffers)."""
-    body, buffers = ShardTransport.encode(obj)
-    conn.send_bytes(struct.pack("<I", len(buffers)))
-    conn.send_bytes(body)
-    for buf in buffers:
-        conn.send_bytes(buf)
-
-
-def _recv_frames(conn: Any) -> Any:
-    """Inverse of :func:`_send_frames`."""
-    (count,) = struct.unpack("<I", conn.recv_bytes())
-    body = conn.recv_bytes()
-    buffers = [conn.recv_bytes() for _ in range(count)]
-    return ShardTransport.decode(body, buffers)
-
-
-def _picklable_error(exc: BaseException) -> BaseException:
-    """``exc`` if it survives pickling, else an equivalent CliqueError."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return CliqueError(f"{type(exc).__name__}: {exc}")
-
-
-def _shard_worker_main(
-    conn: Any,
-    index: int,
-    lo: int,
-    hi: int,
-    program: NodeProgram,
-    n: int,
-    bandwidth: int,
-    inputs: Sequence[Any],
-    auxes: Sequence[Any],
-    check: str,
-) -> None:  # pragma: no cover - runs in a forked child
-    """Child entry point: hold the shard's generators, answer step/finish."""
-    try:
-        shard = InlineShard(index, lo, hi, program, n, bandwidth, inputs, auxes, check)
-    except Exception as exc:
-        _send_frames(conn, ("error", _picklable_error(exc)))
-        return
-    while True:
-        message = _recv_frames(conn)
-        op = message[0]
-        if op == "step":
-            _, round_no, inbound = message
-            try:
-                update = shard.step(round_no, inbound)
-                _send_frames(conn, ("ok", update))
-            except Exception as exc:
-                _send_frames(conn, ("error", _picklable_error(exc)))
-                return
-        elif op == "finish":
-            _send_frames(conn, ("counters", shard.finish()))
-            return
-        else:
-            _send_frames(conn, ("error", CliqueError(f"unknown shard op {op!r}")))
-            return
-
-
-class ProcessShard:
-    """A shard advanced in a forked worker process.
-
-    The child is forked *before* any generator runs, so the program,
-    its closures and the node inputs are inherited by memory — nothing
-    about the program has to be picklable.  Only round traffic crosses
-    the pipe, as :class:`ShardTransport` frames: the parent sends
-    ``("step", round, inboxes)``, the child replies with the shard
-    update; ``("finish",)`` returns the counters and ends the child.
-    """
-
-    def __init__(
-        self,
-        context: Any,
-        index: int,
-        lo: int,
-        hi: int,
-        program: NodeProgram,
-        n: int,
-        bandwidth: int,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        check: str,
-    ) -> None:
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self._conn, child_conn = context.Pipe()
-        self._proc = context.Process(
-            target=_shard_worker_main,
-            args=(
-                child_conn,
-                index,
-                lo,
-                hi,
-                program,
-                n,
-                bandwidth,
-                inputs,
-                auxes,
-                check,
-            ),
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
-
-    def _request(self, message: tuple) -> Any:
-        _send_frames(self._conn, message)
-        try:
-            kind, payload = _recv_frames(self._conn)
-        except (EOFError, OSError) as exc:
-            raise CliqueError(
-                f"shard {self.index} worker died mid-run "
-                f"(exit code {self._proc.exitcode}): {exc}"
-            ) from None
-        if kind == "error":
-            raise payload
-        return payload
-
-    def step(self, round_no: int, inbound: "list[dict] | None") -> ShardUpdate:
-        """Remote :meth:`InlineShard.step` over the pipe."""
-        return self._request(("step", round_no, inbound))
-
-    def finish(self) -> dict[int, dict]:
-        """Remote :meth:`InlineShard.finish`; the child exits after."""
-        counters = self._request(("finish",))
-        self._proc.join(timeout=5.0)
-        return counters
-
-    def close(self, kill: bool = False) -> None:
-        """Tear the worker down (used on error paths)."""
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if self._proc.is_alive():
-            if kill:
-                self._proc.terminate()
-            self._proc.join(timeout=5.0)
-            if self._proc.is_alive():  # pragma: no cover - terminate ignored
-                self._proc.kill()
-                self._proc.join(timeout=5.0)
-
-
-def _fork_context() -> Any:
-    """The ``fork`` multiprocessing context, or ``None`` if unsupported
-    (non-POSIX platforms, or inside a daemonic pool worker that may not
-    have children of its own)."""
-    import multiprocessing
-
-    if multiprocessing.current_process().daemon:
-        return None
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-
-
-# -- columnar shards ---------------------------------------------------------
-#
-# The sharded kernel hosting columnar shards: each shard holds a full
-# ArrayContext restricted to an owned node range and runs its own
-# instance of a *shardable* array program (see
-# repro.engine.columnar.array_program).  The coordinator loop lives in
-# ColumnarEngine._execute_sharded; this section provides the shard
-# units and the per-run thread executor they advance on.  Shards live
-# in the coordinator's address space, so round traffic is handed over
-# as read-only numpy columns rather than shipped, and the programs'
-# lane arithmetic runs in numpy ufuncs that release the GIL — the
-# shard threads overlap on a multicore host.
 
 
 class ColumnarEmit(NamedTuple):
@@ -653,365 +258,3 @@ def spawn_columnar_shards(
         executor.shutdown(wait=True, cancel_futures=True)
         raise
     return ColumnarShardPool(executor, ranges, started)
-
-
-@register_engine
-class ShardedEngine(Engine):
-    """Shard-parallel lockstep backend over the coroutine kernel.
-
-    Parameters
-    ----------
-    check:
-        Validation level (``"full"``, ``"bandwidth"`` — the default —
-        or ``"off"``), with the same send-time semantics as the fast
-        engine at each level.
-    shards:
-        Shard count; ``None`` means :data:`DEFAULT_SHARDS`, clamped
-        to ``n``.  Results are identical for every shard count.
-    executor:
-        ``"inline"`` (default) advances every shard in-process;
-        ``"process"`` forks one worker per shard and exchanges round
-        traffic as pickle-5 frames.  Falls back to inline (with a
-        :class:`RuntimeWarning`) where ``fork`` is unavailable.
-    transport:
-        ``"direct"`` hands inline shard updates over as objects;
-        ``"pickle"`` round-trips them through :class:`ShardTransport`
-        (process shards always use the pickled framing).
-    record_transcripts:
-        Force transcript recording even when the clique does not ask
-        for it.
-
-    Like the fast engine, the backend supports the plain congested
-    clique only (broadcast-only cliques and CONGEST topologies need the
-    reference engine).
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        check: str = "bandwidth",
-        shards: "int | None" = None,
-        executor: str = "inline",
-        transport: str = "direct",
-        record_transcripts: bool = False,
-    ) -> None:
-        check = canonical_check(check)
-        if check not in CHECK_LEVELS:
-            raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {check!r}")
-        if executor not in ("inline", "process"):
-            raise CliqueError(
-                f"executor must be 'inline' or 'process', got {executor!r}"
-            )
-        if transport not in ("direct", "pickle"):
-            raise CliqueError(
-                f"transport must be 'direct' or 'pickle', got {transport!r}"
-            )
-        if shards is not None and shards < 1:
-            raise CliqueError(f"shards must be >= 1, got {shards}")
-        self.check = check
-        self.shards = shards
-        self.executor = executor
-        self.transport = transport
-        self.record_transcripts = record_transcripts
-
-    def describe(self) -> dict:
-        """Engine configuration (cache key component)."""
-        return {
-            "engine": self.name,
-            "check": self.check,
-            "shards": self.shards,
-            "executor": self.executor,
-            "transport": self.transport,
-        }
-
-    def _spawn_shards(
-        self,
-        program: NodeProgram,
-        n: int,
-        bandwidth: int,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-    ) -> list:
-        ranges = shard_ranges(n, self.shards or DEFAULT_SHARDS)
-        executor = self.executor
-        context = None
-        if executor == "process":
-            context = _fork_context()
-            if context is None:
-                warnings.warn(
-                    "sharded engine: process executor needs the 'fork' "
-                    "start method outside a daemonic worker; falling back "
-                    "to inline shards",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                executor = "inline"
-        shards: list = []
-        try:
-            for index, (lo, hi) in enumerate(ranges):
-                if executor == "process":
-                    shards.append(
-                        ProcessShard(
-                            context,
-                            index,
-                            lo,
-                            hi,
-                            program,
-                            n,
-                            bandwidth,
-                            inputs,
-                            auxes,
-                            self.check,
-                        )
-                    )
-                else:
-                    shards.append(
-                        InlineShard(
-                            index,
-                            lo,
-                            hi,
-                            program,
-                            n,
-                            bandwidth,
-                            inputs,
-                            auxes,
-                            self.check,
-                            self.transport,
-                        )
-                    )
-        except BaseException:
-            for shard in shards:
-                shard.close(kill=True)
-            raise
-        return shards
-
-    def execute(
-        self,
-        clique,
-        program: NodeProgram,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        *,
-        observer: Any = None,
-        transcripts: bool | None = None,
-        fault_plan: Any = None,
-    ) -> RunResult:
-        """Run ``program`` with the node range split across shards."""
-        if clique.broadcast_only or clique.topology is not None:
-            raise CliqueError(
-                "the sharded engine supports the plain congested clique "
-                "only; use the reference engine for broadcast-only "
-                "cliques or CONGEST topologies"
-            )
-        n = clique.n
-        obs = resolve_observer(observer)
-        plan = resolve_fault_plan(fault_plan)
-        injector = FaultInjector(plan, n, obs) if plan is not None else None
-        per_message = obs is not None and obs.wants_messages
-        track_halts = obs is not None and obs.wants_halts
-        timer = PhaseTimer() if obs is not None and obs.wants_timing else None
-        record = (
-            transcripts
-            if transcripts is not None
-            else (self.record_transcripts or clique.record_transcripts)
-        )
-        if timer is not None:
-            timer.start("spawn")
-        shards = self._spawn_shards(program, n, clique.bandwidth, inputs, auxes)
-        outputs: dict[int, Any] = {}
-        records: list[list[RoundRecord]] = [[] for _ in range(n)]
-        live = n
-        rounds = 0
-        total_bits = 0
-        bulk_bits = 0
-        sent_bits = [0] * n
-        received_bits = [0] * n
-        if obs is not None:
-            obs.on_run_start(n=n, bandwidth=clique.bandwidth, engine=self.name)
-
-        def absorb(updates: list[ShardUpdate]) -> list:
-            """Record halts; return the concatenated message entries."""
-            nonlocal live
-            entries: list = []
-            for halted, shard_entries in updates:
-                for v, value in halted:
-                    outputs[v] = value
-                    live -= 1
-                    if track_halts:
-                        obs.on_halt(round=rounds, node=v)
-                entries.extend(shard_entries)
-            return entries
-
-        try:
-            # Initial local-computation phase (before the first round).
-            if timer is not None:
-                timer.start("advance")
-            updates = [shard.step(0, None) for shard in shards]
-            if timer is not None:
-                obs.on_phases(round=0, seconds=timer.flush())
-            entries = absorb(updates)
-
-            while live or entries:
-                if rounds >= clique.max_rounds:
-                    raise RoundLimitExceeded(clique.max_rounds)
-                this_round = rounds + 1
-
-                # Deliver: expand, inject faults, account — semantics
-                # identical to the fast engine's explicit path.
-                if timer is not None:
-                    timer.start("deliver")
-                inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
-                round_sent = [0] * n
-                round_received = [0] * n
-                if injector is not None:
-                    injector.inject_pending(this_round, inboxes, round_received)
-                sent_records: list[dict[int, BitString]] | None = (
-                    [{} for _ in range(n)] if record else None
-                )
-                round_msg_bits = 0
-                round_bulk_bits = 0
-                counts = {"unicast": 0, "broadcast": 0, "bulk": 0}
-                for src, dst, payload, kind in _expand(entries, n):
-                    plen = len(payload)
-                    if kind == "bulk":
-                        round_bulk_bits += plen
-                    else:
-                        round_msg_bits += plen
-                    counts[kind] += 1
-                    round_sent[src] += plen
-                    if injector is not None and kind != "bulk":
-                        delivered = injector.deliver(this_round, src, dst, payload)
-                    else:
-                        delivered = payload
-                    if delivered is not None:
-                        round_received[dst] += plen
-                        inboxes[dst][src] = delivered
-                    if sent_records is not None:
-                        sent_records[src][dst] = payload
-                    if per_message and delivered is not None:
-                        obs.on_message(
-                            round=this_round,
-                            src=src,
-                            dst=dst,
-                            bits=plen,
-                            kind=kind,
-                        )
-                if injector is not None:
-                    # Forged-identity messages land last, into slots no
-                    # genuine delivery claimed.
-                    injector.finish_round(this_round, inboxes, round_received)
-                total_bits += round_msg_bits
-                bulk_bits += round_bulk_bits
-                for v in range(n):
-                    sent_bits[v] += round_sent[v]
-                    received_bits[v] += round_received[v]
-                rounds = this_round
-                if obs is not None:
-                    obs.on_round(
-                        RoundStats(
-                            round=this_round,
-                            unicast_messages=counts["unicast"],
-                            broadcast_messages=counts["broadcast"],
-                            bulk_messages=counts["bulk"],
-                            message_bits=round_msg_bits,
-                            bulk_bits=round_bulk_bits,
-                            sent_bits=round_sent,
-                            received_bits=round_received,
-                        )
-                    )
-                if record:
-                    for v in range(n):
-                        records[v].append(
-                            RoundRecord(
-                                sent=sent_records[v],
-                                received=dict(inboxes[v]),
-                            )
-                        )
-
-                # Advance: hand each shard its inboxes, collect updates.
-                if timer is not None:
-                    timer.start("advance")
-                updates = [
-                    shard.step(this_round, inboxes[shard.lo : shard.hi])
-                    for shard in shards
-                ]
-                if timer is not None:
-                    obs.on_phases(round=this_round, seconds=timer.flush())
-                entries = absorb(updates)
-
-            all_counters: dict[int, dict] = {}
-            for shard in shards:
-                all_counters.update(shard.finish())
-        except BaseException:
-            for shard in shards:
-                shard.close(kill=True)
-            raise
-        for shard in shards:
-            shard.close()
-
-        out_transcripts = None
-        if record:
-            out_transcripts = tuple(
-                Transcript(node=v, n=n, rounds=tuple(records[v]))
-                for v in range(n)
-            )
-        counters = tuple(all_counters[v] for v in range(n))
-        metrics = None
-        if obs is not None:
-            obs.on_run_end(rounds=rounds, counters=counters)
-            metrics = obs.run_metrics()
-        return RunResult(
-            outputs=outputs,
-            rounds=rounds,
-            total_message_bits=total_bits,
-            bulk_bits=bulk_bits,
-            sent_bits=tuple(sent_bits),
-            received_bits=tuple(received_bits),
-            counters=counters,
-            transcripts=out_transcripts,
-            metrics=metrics,
-        )
-
-
-def _expand(entries: Sequence[tuple], n: int):
-    """Yield ``(src, dst, payload, kind)`` with broadcasts fanned out."""
-    for src, dst, payload, is_bulk in entries:
-        if is_bulk:
-            yield src, dst, payload, "bulk"
-        elif dst == _BROADCAST:
-            for u in range(n):
-                if u != src:
-                    yield src, u, payload, "broadcast"
-        else:
-            yield src, dst, payload, "unicast"
-
-
-def _fanout_program(senders: int, rounds: int) -> Callable:
-    """A broadcast stress program: nodes ``0..senders-1`` broadcast one
-    bit per round, the rest idle — per-round load scales with
-    ``senders * n`` while the task count scales with ``n``."""
-
-    def prog(node):
-        payload = BitString(node.id % 2, 1)
-        for _ in range(rounds):
-            if node.id < senders:
-                node.send_to_all(payload)
-            yield
-        return None
-
-    return prog
-
-
-def fanout_spec(config: dict) -> RunSpec:
-    """Picklable sweep factory for large-``n`` fan-out grids.
-
-    ``config`` keys: ``n`` (clique size), ``rounds`` (broadcast rounds,
-    default 1) and ``senders`` (how many nodes broadcast, default all).
-    Used by the ``shard-sweep`` bench workload to push the sharded
-    backend to ``n`` in the thousands without a graph-sized input.
-    """
-    n = int(config["n"])
-    rounds = int(config.get("rounds", 1))
-    senders = int(config.get("senders", n))
-    return RunSpec(program=_fanout_program(min(senders, n), rounds), n=n)

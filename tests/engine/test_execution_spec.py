@@ -3,6 +3,7 @@ and the engine registry it resolves through."""
 
 import pytest
 
+from repro.cli import main
 from repro.clique.errors import CliqueError
 from repro.engine import (
     ExecutionSpec,
@@ -14,24 +15,39 @@ from repro.engine import (
 )
 from repro.engine.base import ENGINES, Engine, register_engine, resolve_engine
 from repro.engine.diff import catalog_factory
+from repro.engine.pool import run_spec
 from repro.faults import FaultPlan
 from repro.obs import describe_observer
 from repro.service.client import ServiceClient
 
 
 class TestRegistry:
-    def test_engine_names_include_lazy_backends(self):
-        names = engine_names()
-        assert {"columnar", "fast", "reference", "sharded"} <= set(names)
-        assert names == sorted(names)
+    def test_engine_names_are_the_registry(self):
+        assert engine_names() == ["columnar", "fast", "reference"]
+        assert engine_names() == sorted(ENGINES)
 
-    def test_lazy_engine_resolves_by_name(self):
-        engine = resolve_engine("sharded")
-        assert engine.name == "sharded"
-        assert "sharded" in ENGINES  # import side effect registered it
+    def test_retired_sharded_engine_points_at_columnar_shards(self):
+        hint = r"ExecutionSpec\(engine='columnar', shards=N\)"
+        with pytest.raises(CliqueError, match=hint):
+            resolve_engine("sharded")
+        with pytest.raises(CliqueError, match=hint):
+            run_spec(
+                catalog_factory({"algorithm": "bfs", "n": 6, "seed": 0}),
+                execution=ExecutionSpec(engine="sharded"),
+            )
+        assert "sharded" not in ENGINES
+
+    def test_cli_rejects_retired_sharded_engine(self, capsys):
+        code = main(["run", "triangle", "--n", "8", "--engine", "sharded"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "engine 'sharded' was removed" in err
+        assert "shards=N" in err
 
     def test_unknown_engine_error_lists_everything(self):
-        with pytest.raises(CliqueError, match="sharded"):
+        with pytest.raises(
+            CliqueError, match=r"known engines: \['columnar', 'fast', 'reference'\]"
+        ):
             resolve_engine("warp-drive")
 
     def test_unknown_engine_error_suggests_nearest_match(self):

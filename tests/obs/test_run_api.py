@@ -87,11 +87,13 @@ class TestCheckVocabulary:
             assert canonical_check(level) == level
         assert canonical_check(None) is None
 
-    def test_legacy_booleans_warn(self):
-        with pytest.warns(DeprecationWarning):
-            assert canonical_check(True) == "full"
-        with pytest.warns(DeprecationWarning):
-            assert canonical_check(False) == "off"
+    def test_legacy_booleans_rejected(self):
+        with pytest.raises(CliqueError, match="use check='full'"):
+            canonical_check(True)
+        with pytest.raises(CliqueError, match="use check='off'"):
+            canonical_check(False)
+        with pytest.raises(CliqueError, match="use check='off'"):
+            CongestedClique(4).run(ring_prog, engine="fast", check=False)
 
     def test_unknown_level_rejected(self):
         with pytest.raises(CliqueError):
@@ -129,15 +131,13 @@ class TestEngineResolution:
 
 
 class TestDeprecatedForms:
-    def test_positional_aux_warns_but_works(self):
+    def test_positional_aux_rejected(self):
         def prog(node):
             return node.aux
             yield
 
-        clique = CongestedClique(3)
-        with pytest.warns(DeprecationWarning):
-            result = clique.run(prog, None, 7)
-        assert result.outputs == {v: 7 for v in range(3)}
+        with pytest.raises(TypeError, match=r"aux=\.\.\."):
+            CongestedClique(3).run(prog, None, 7)
 
     def test_positional_and_keyword_aux_conflict(self):
         def prog(node):
@@ -147,16 +147,15 @@ class TestDeprecatedForms:
         with pytest.raises(TypeError):
             CongestedClique(3).run(prog, None, 7, aux=7)
 
-    def test_record_transcripts_keyword_warns(self):
+    def test_record_transcripts_keyword_rejected(self):
         g = gen.random_graph(6, 0.4, 0)
 
         def prog(node):
             return node.id
             yield
 
-        with pytest.warns(DeprecationWarning):
-            result = run_algorithm(prog, g, record_transcripts=True)
-        assert result.transcripts is not None
+        with pytest.raises(TypeError, match="use transcripts="):
+            run_algorithm(prog, g, record_transcripts=True)
 
     def test_record_transcripts_conflicts_with_transcripts(self):
         g = gen.random_graph(6, 0.4, 0)

@@ -1,1 +1,1 @@
-"""Tests for the service layer (sharded kernel + repro serve daemon)."""
+"""Tests for the service layer (repro serve daemon + columnar shard host)."""

@@ -81,12 +81,16 @@ class TestRequests:
             assert warm[field] == cold[field]
         assert server.cache.stats()["entries"] == 1
 
-    def test_run_on_sharded_engine(self, client):
+    def test_retired_sharded_engine_is_an_error_reply(self, client):
+        with pytest.raises(ServiceError, match=r"CliqueError: .*shards=N"):
+            client.run("kvc", {"n": 9, "seed": 1}, engine="sharded")
+        # The daemon keeps serving, and the engine is part of the key.
         fast = client.run("kvc", {"n": 9, "seed": 1})
-        sharded = client.run("kvc", {"n": 9, "seed": 1}, engine="sharded")
-        assert sharded["cached"] is False  # engine is part of the key
-        assert sharded["rounds"] == fast["rounds"]
-        assert sharded["common_output"] == fast["common_output"]
+        reference = client.run("kvc", {"n": 9, "seed": 1}, engine="reference")
+        assert fast["cached"] is False
+        assert reference["cached"] is False
+        assert reference["rounds"] == fast["rounds"]
+        assert reference["common_output"] == fast["common_output"]
 
     def test_run_unknown_algorithm_is_an_error(self, client):
         with pytest.raises(ServiceError, match="unknown algorithm"):

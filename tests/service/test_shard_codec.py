@@ -1,15 +1,12 @@
-"""Shard boundary plumbing: ``shard_ranges`` partition properties and
-``ShardTransport`` out-of-band buffer round-trips of the array shapes
-the sharded columnar engine actually ships (non-contiguous slices,
-zero-length columns, >64-bit element widths)."""
+"""Shard boundary plumbing: ``shard_ranges`` partition properties (the
+node ranges shard-parallel columnar runs split ``0..n-1`` into)."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clique.errors import CliqueError
-from repro.service.kernel import ShardTransport, shard_ranges
+from repro.service.kernel import shard_ranges
 
 
 class TestShardRangesProperties:
@@ -53,79 +50,3 @@ class TestShardRangesProperties:
     def test_fewer_than_one_shard_rejected(self, shards):
         with pytest.raises(CliqueError, match="at least one shard"):
             shard_ranges(8, shards)
-
-
-def _assert_array_roundtrip(arr):
-    body, buffers = ShardTransport.encode(arr)
-    assert all(isinstance(b, bytes) for b in buffers)
-    out = ShardTransport.decode(body, buffers)
-    assert out.dtype == arr.dtype
-    assert out.shape == arr.shape
-    np.testing.assert_array_equal(out, arr)
-    return out
-
-
-class TestShardTransportBuffers:
-    def test_contiguous_array_ships_out_of_band(self):
-        arr = np.arange(4096, dtype=np.uint64)
-        body, buffers = ShardTransport.encode(arr)
-        # The payload crosses as a raw out-of-band buffer, not inside
-        # the pickle body.
-        assert buffers
-        assert sum(len(b) for b in buffers) >= arr.nbytes
-        assert len(body) < arr.nbytes
-        np.testing.assert_array_equal(
-            ShardTransport.decode(body, buffers), arr
-        )
-
-    def test_non_contiguous_view_roundtrips(self):
-        base = np.arange(1000, dtype=np.uint64)
-        for view in (base[::2], base[::-1], base[7:901:3]):
-            assert not view.flags["C_CONTIGUOUS"] or view is base
-            _assert_array_roundtrip(view)
-
-    def test_non_contiguous_2d_slice_roundtrips(self):
-        base = np.arange(30 * 17, dtype=np.int64).reshape(30, 17)
-        view = base[::3, 1::2]
-        assert not view.flags["C_CONTIGUOUS"]
-        _assert_array_roundtrip(view)
-
-    def test_zero_length_arrays_roundtrip(self):
-        for dtype in (np.int64, np.uint64, np.float64, np.complex128):
-            out = _assert_array_roundtrip(np.empty(0, dtype=dtype))
-            assert out.size == 0
-
-    def test_wider_than_64_bit_elements_roundtrip(self):
-        # complex128: 128-bit elements.
-        rng = np.random.default_rng(7)
-        _assert_array_roundtrip(
-            rng.standard_normal(257) + 1j * rng.standard_normal(257)
-        )
-        # Structured dtype: 160-bit records.
-        rec = np.zeros(
-            13, dtype=[("src", np.int64), ("val", np.uint64), ("w", np.int32)]
-        )
-        rec["src"] = np.arange(13)
-        rec["val"] = np.arange(13, dtype=np.uint64) * np.uint64(3)
-        rec["w"] = 17
-        out = ShardTransport.roundtrip(rec)
-        assert out.dtype == rec.dtype
-        np.testing.assert_array_equal(out, rec)
-
-    def test_message_slice_tuple_roundtrips(self):
-        # The actual per-round payload shape: COO columns plus bulk list.
-        us = np.arange(100, dtype=np.int64)
-        ud = (us + 1) % 8
-        uv = us.astype(np.uint64) * np.uint64(0x9E3779B1)
-        uw = np.full(100, 48, dtype=np.int64)
-        owned = (ud >= 2) & (ud < 5)  # a boolean-mask slice, like routing
-        payload = (
-            3,
-            (us[owned], ud[owned], uv[owned], uw[owned]),
-            [(0, 3, 123456789, 80)],
-        )
-        round_no, coo, bulk = ShardTransport.roundtrip(payload)
-        assert round_no == 3
-        assert bulk == [(0, 3, 123456789, 80)]
-        for sent, got in zip((us[owned], ud[owned], uv[owned], uw[owned]), coo):
-            np.testing.assert_array_equal(sent, got)
